@@ -227,19 +227,56 @@ func solveNProblem(n int) ipm.Problem {
 	return ipm.Problem{Curves: curves, Total: 65536}
 }
 
+// countCurve counts the evaluations of its value and derivative.
+type countCurve struct {
+	base ipm.Curve
+	n    *int
+}
+
+func (c countCurve) Eval(x float64) float64  { *c.n++; return c.base.Eval(x) }
+func (c countCurve) Deriv(x float64) float64 { *c.n++; return c.base.Deriv(x) }
+
 // BenchmarkSolveN measures one cold block-size solve as the unit count
-// grows: the arrow-structured O(n) elimination across the thousand-PU
-// range, and the legacy dense (4n+2)² factorization up to n=256 (beyond
-// that a single dense solve takes tens of seconds — the point of the
-// structured path).
+// grows: the persistent Solver's water-filling into the ten-thousand-PU
+// range, Solve's arrow-structured O(n) interior-point method across the
+// thousand-PU range, and its legacy dense (4n+2)² factorization up to
+// n=256 (beyond that a single dense solve takes tens of seconds). The
+// water-filling runs fail on a fallback or when a solve spends more than
+// 60 curve evaluations per unit.
 func BenchmarkSolveN(b *testing.B) {
-	for _, n := range []int{4, 16, 64, 256, 1024} {
+	for _, n := range []int{4, 16, 64, 256, 1024, 10000} {
 		prob := solveNProblem(n)
+		b.Run("waterfill/"+itoa(int64(n)), func(b *testing.B) {
+			var evals int
+			counted := ipm.Problem{Curves: make([]ipm.Curve, n), Total: prob.Total}
+			for g, c := range prob.Curves {
+				counted.Curves[g] = countCurve{base: c, n: &evals}
+			}
+			sv := ipm.NewSolver(ipm.Options{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				evals = 0
+				res, err := sv.Solve(counted)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.UsedFallback {
+					b.Fatal("unexpected fallback")
+				}
+				if evals > 60*n {
+					b.Fatalf("solve spent %d curve evaluations, budget %d", evals, 60*n)
+				}
+			}
+			b.ReportMetric(float64(evals)/float64(n), "evals/unit")
+		})
+		if n > 1024 {
+			continue
+		}
 		b.Run("arrow/"+itoa(int64(n)), func(b *testing.B) {
-			sv := ipm.NewSolver(ipm.Options{Structured: true})
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := sv.Solve(prob)
+				res, err := ipm.Solve(prob, ipm.Options{Structured: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -266,9 +303,9 @@ func BenchmarkSolveN(b *testing.B) {
 }
 
 // BenchmarkSim10kPU runs the full PLB-HeC pipeline — probing, fitting,
-// structured warm-started solving, execution — on a generated 10,000-PU
-// cluster (2000 nodes × 1 CPU + 4 GPUs), the thousand-PU tier the
-// structured solver exists for. Work conservation and record sanity are
+// warm-started water-filling, execution — on a generated 10,000-PU
+// cluster (2000 nodes × 1 CPU + 4 GPUs), the tier the persistent solver
+// exists for. Work conservation and record sanity are
 // asserted every iteration.
 func BenchmarkSim10kPU(b *testing.B) {
 	const totalUnits = 16 << 20
@@ -325,16 +362,16 @@ func warmRebalance(b *testing.B, opt ipm.Options) {
 		solved = warms + st["solverColdStarts"]
 	}
 	if solved > 0 {
-		b.ReportMetric(iters/solved, "ipm-iters/solve")
+		b.ReportMetric(iters/solved, "iters/solve")
 	}
 	b.ReportMetric(warms, "warm-starts/op")
 }
 
-// BenchmarkWarmRebalance contrasts cold and warm-started solving on the
-// Fig. 3 rebalance path: the warm variant should show fewer IPM iterations
+// BenchmarkWarmRebalance contrasts cold and warm-started water-filling on
+// the Fig. 3 rebalance path: the warm variant should show fewer τ steps
 // per solve at unchanged end-to-end behavior.
 func BenchmarkWarmRebalance(b *testing.B) {
-	b.Run("cold", func(b *testing.B) { warmRebalance(b, ipm.Options{}) })
+	b.Run("cold", func(b *testing.B) { warmRebalance(b, ipm.Options{Structured: true}) })
 	b.Run("warm", func(b *testing.B) {
 		warmRebalance(b, ipm.Options{Structured: true, WarmStart: true})
 	})

@@ -162,7 +162,20 @@ func (d *Device) SetSpeedFactor(f float64) {
 		f = 0
 	}
 	d.speedFactor.Store(math.Float64bits(f))
+	speedChanges.Add(1)
 }
+
+// speedChanges counts SetSpeedFactor calls over every device in the
+// process. It is bumped after the new factor is stored.
+var speedChanges atomic.Uint64
+
+// SpeedChanges returns the number of SetSpeedFactor calls so far, over
+// every device in the process. It only grows: a caller that reads it before
+// polling a set of devices and reads the same value later knows none of
+// them changed speed, or failed, in between. Devices start at factor 1, so
+// at 0 no device has ever changed. Other runs in the process also bump it,
+// which can only cost a caller a needless poll, never hide a change.
+func SpeedChanges() uint64 { return speedChanges.Load() }
 
 // SpeedFactor returns the current throughput multiplier.
 func (d *Device) SpeedFactor() float64 { return math.Float64frombits(d.speedFactor.Load()) }

@@ -75,7 +75,7 @@ func runSolver(o Options) error {
 }
 
 // runAblation quantifies PLB-HeC's design choices on the headline scenario:
-// interior-point solve vs bisection fallback, charged overheads on/off, and
+// interior-point solve vs water-filling, charged overheads on/off, and
 // rebalancing on/off.
 func runAblation(o Options) error {
 	size := o.size(MM, 65536)
@@ -102,8 +102,8 @@ func runAblation(o Options) error {
 	} else {
 		return err
 	}
-	if r, err := runPLBVariant(pool, base, func(p *plbKnobs) { p.bisection = true }); err == nil {
-		add("bisection fallback instead of IPM", r)
+	if r, err := runPLBVariant(pool, base, func(p *plbKnobs) { p.waterfill = true }); err == nil {
+		add("water-filling instead of IPM", r)
 	} else {
 		return err
 	}

@@ -12,7 +12,7 @@ import (
 
 // plbKnobs selects a PLB-HeC ablation variant.
 type plbKnobs struct {
-	bisection   bool // replace the interior-point method with τ-bisection
+	waterfill   bool // replace the interior-point method with water-filling
 	noRebalance bool // disable threshold-triggered rebalancing
 	oneStep     bool // hand each unit its whole share as one block
 }
@@ -32,7 +32,7 @@ func runPLBVariant(r *Runner, sc Scenario, tweak func(*plbKnobs)) (*Result, erro
 		sess := starpu.NewSimSession(sc.Cluster(i), app, starpu.SimConfig{})
 		sess.SetContext(r.Context())
 		p := sched.NewPLBHeC(sched.Config{InitialBlockSize: InitialBlock(sc.Kind, sc.Size, sc.Machines)})
-		if knobs.bisection {
+		if knobs.waterfill {
 			p.Solver = ipm.Options{DisableIPM: true}
 		}
 		if knobs.noRebalance {

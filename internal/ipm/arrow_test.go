@@ -160,7 +160,7 @@ func TestStructuredSolveMatchesLegacy(t *testing.T) {
 				trial, legacy.UsedFallback, structured.UsedFallback)
 		}
 		if legacy.UsedFallback {
-			continue // both stalled the same way; bisection is path-free
+			continue // both stalled the same way; water-filling is path-free
 		}
 		for g := range legacy.X {
 			if d := math.Abs(legacy.X[g] - structured.X[g]); d > 1e-4*p.Total {

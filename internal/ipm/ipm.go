@@ -1,27 +1,32 @@
-// Package ipm implements the nonlinear solver behind the paper's block-size
+// Package ipm implements the solver behind the paper's block-size
 // selection (§III.C): given fitted per-unit time curves E_g, find the work
 // split x₁…x_n with Σx_g = Total that makes every processing unit finish at
-// the same time (Eqs. 3–5). The paper solves this with IPOPT's interior
-// point line-search filter method [25]; this package is a from-scratch
-// reimplementation of that method, sized for the small dense systems the
-// scheduler produces (a handful of processing units).
+// the same time (Eqs. 3–5). It has two methods.
 //
-// The NLP is the makespan form: minimize τ subject to
+// The interior-point method reproduces the paper, which solves the system
+// with IPOPT's interior point line-search filter method [25]. It solves the
+// makespan form of the NLP: minimize τ subject to
 //
 //	E_g(x_g) − τ ≤ 0   (g = 1…n)
 //	Σ x_g = Total
 //	x_g ≥ 0
 //
 // whose KKT conditions at the optimum give E_g(x_g) = τ for every unit with
-// x_g > 0 — exactly the equal-finish-time condition (Eq. 4).
+// x_g > 0 — exactly the equal-finish-time condition (Eq. 4). It is a
+// primal-dual interior-point method: slacks on the inequalities, log
+// barriers on slacks and bounds, Newton steps on the perturbed KKT system,
+// a fraction-to-the-boundary rule, a Wächter–Biegler-style filter line
+// search, and an adaptive barrier-parameter update in the spirit of [25].
+// The Newton system is factored densely (the default) or, with
+// Options.Structured, by an O(n) arrow elimination. The package-level Solve
+// runs it first.
 //
-// The solver is a primal-dual interior-point method: slacks on the
-// inequalities, log barriers on slacks and bounds, Newton steps on the
-// perturbed KKT system (dense LU), a fraction-to-the-boundary rule, a
-// Wächter–Biegler-style filter line search, and an adaptive barrier-
-// parameter update in the spirit of [25]. A monotone τ-bisection fallback
-// (water-filling) guarantees a usable split whenever Newton stalls on a
-// pathological fitted curve.
+// Water-filling solves the same system exactly and in O(n) curve
+// evaluations per τ step (waterfill.go): a safeguarded Newton iteration on
+// the makespan τ over per-unit bracketed Newton root-finds. It is Solve's
+// fallback when the interior-point method fails (and its only method under
+// Options.DisableIPM), and the only method of the persistent Solver that
+// schedulers use on clusters of thousands of processing units.
 package ipm
 
 import (
@@ -46,16 +51,18 @@ type Problem struct {
 	Total float64
 }
 
-// Options tunes the solver. The zero value is replaced by defaults.
+// Options tunes the solver. The zero value is replaced by defaults. All but
+// WarmStart configure the package-level Solve's interior-point method; a
+// Solver only reads WarmStart.
 type Options struct {
 	Tol         float64 // KKT residual tolerance (scaled); default 1e-8
 	MaxIter     int     // Newton iteration cap; default 100
 	Mu0         float64 // initial barrier parameter; default 0.1
-	DisableIPM  bool    // force the bisection fallback (for ablations)
-	DisableFall bool    // forbid the fallback (surface IPM failures)
+	DisableIPM  bool    // Solve water-fills directly (for ablations)
+	DisableFall bool    // Solve forbids the fallback (surface IPM failures)
 
-	// Structured computes each Newton direction with the O(n) arrow-
-	// structured block elimination (arrow.go) instead of factoring the
+	// Structured makes Solve compute each Newton direction with the O(n)
+	// arrow-structured block elimination (arrow.go) instead of factoring the
 	// dense (4n+2)² Jacobian. The two paths agree to solver tolerance but
 	// not bit-for-bit, so the zero value keeps the legacy dense numerics
 	// (and the pinned golden sweeps) unchanged. When an arrow block
@@ -63,10 +70,10 @@ type Options struct {
 	// systems too large to afford the dense matrix classify as
 	// ErrIllConditioned and fall through to the usual ladder.
 	Structured bool
-	// WarmStart lets a Solver seed each solve from the previous solve's
-	// interior iterate (with a feasibility-restoring shift) whenever the
-	// active curve set is unchanged. Ignored by the package-level Solve,
-	// which keeps no state between calls.
+	// WarmStart lets a Solver start each water-filling solve from the
+	// previous solve's shares whenever the active curve set is unchanged.
+	// Ignored by the package-level Solve, which keeps no state between
+	// calls.
 	WarmStart bool
 }
 
@@ -85,14 +92,17 @@ func (o Options) withDefaults() Options {
 
 // Result reports the computed distribution.
 type Result struct {
-	X            []float64 // block sizes, Σ = Total
-	Tau          float64   // common finish time
-	Iterations   int
-	Converged    bool // Newton reached tolerance (false when fallback used)
+	X   []float64 // block sizes, Σ = Total
+	Tau float64   // common finish time
+	// Iterations counts interior-point Newton steps, or τ steps of a
+	// water-filling solve.
+	Iterations int
+	Converged  bool // the method reached its tolerance
+	// UsedFallback reports that Solve water-filled because the
+	// interior-point method failed or was disabled.
 	UsedFallback bool
-	// WarmStarted reports that the accepted iteration started from a
-	// previous solve's iterate (Solver with Options.WarmStart) rather than
-	// the cold even-split interior point.
+	// WarmStarted reports that a Solver with Options.WarmStart started from
+	// the previous solve's shares rather than the even split.
 	WarmStarted bool
 	KKTResidual float64
 	WallTime    time.Duration
@@ -169,7 +179,7 @@ func Solve(p Problem, opt Options) (Result, error) {
 	ipmErr := error(ErrNoProgress)
 	if !opt.DisableIPM {
 		var st solveState
-		res, err := solveIPM(sc, opt, &st, nil)
+		res, err := solveIPM(sc, opt, &st)
 		if err == nil {
 			if verr := validResult(res, p.Total); verr != nil {
 				err = verr
@@ -183,7 +193,8 @@ func Solve(p Problem, opt Options) (Result, error) {
 	if opt.DisableFall {
 		return Result{}, ipmErr
 	}
-	res, err := solveBisection(sc)
+	var wf waterfill
+	res, err := wf.solve(sc, false)
 	if err != nil {
 		return Result{}, err
 	}
@@ -299,16 +310,11 @@ func (s *scaled) deriv2(g int, u float64) float64 {
 	return d
 }
 
-// result converts a scaled solution back to problem units.
-func (s *scaled) result(u []float64, tau float64) Result {
-	return s.resultInto(make([]float64, s.n), u, tau)
-}
-
-// resultInto is result with caller-provided storage for the block sizes
-// (len n); the returned Result.X aliases x.
+// resultInto converts a scaled solution back to problem units, storing the
+// block sizes in x (len n); the returned Result.X aliases x.
 func (s *scaled) resultInto(x []float64, u []float64, tau float64) Result {
-	// Remove tiny interior-point slack from the bounds and renormalize so
-	// the block sizes sum to exactly Total.
+	// Remove tiny slack from the bounds and renormalize so the block sizes
+	// sum to exactly Total.
 	var sum float64
 	for i, ui := range u {
 		if ui < 0 {

@@ -175,22 +175,22 @@ func TestSolveEmptyProblem(t *testing.T) {
 	}
 }
 
-func TestBisectionFallbackMatchesIPM(t *testing.T) {
+func TestWaterfillFallbackMatchesIPM(t *testing.T) {
 	p := Problem{Curves: []Curve{linear(1, 0.2), linear(4, 0.1)}, Total: 50}
 	ipmRes, err := Solve(p, Options{DisableFall: true})
 	if err != nil {
 		t.Fatalf("IPM path failed: %v", err)
 	}
-	bisRes, err := Solve(p, Options{DisableIPM: true})
+	wfRes, err := Solve(p, Options{DisableIPM: true})
 	if err != nil {
-		t.Fatalf("bisection path failed: %v", err)
+		t.Fatalf("water-filling path failed: %v", err)
 	}
-	if !bisRes.UsedFallback {
-		t.Error("bisection path should report UsedFallback")
+	if !wfRes.UsedFallback {
+		t.Error("water-filling path should report UsedFallback")
 	}
 	for g := range ipmRes.X {
-		if math.Abs(ipmRes.X[g]-bisRes.X[g]) > 1e-2*p.Total {
-			t.Errorf("unit %d: IPM %g vs bisection %g", g, ipmRes.X[g], bisRes.X[g])
+		if math.Abs(ipmRes.X[g]-wfRes.X[g]) > 1e-2*p.Total {
+			t.Errorf("unit %d: IPM %g vs water-filling %g", g, ipmRes.X[g], wfRes.X[g])
 		}
 	}
 }

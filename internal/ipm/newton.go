@@ -32,10 +32,7 @@ func resizeVec(v linalg.Vector, n int) linalg.Vector {
 }
 
 // solveState owns every buffer one Newton solve needs. The zero value is
-// ready: buffers are sized on prepare and reused across iterations and —
-// when the state persists in a Solver — across solves, reaching zero
-// allocations in steady state. The package-level Solve constructs a fresh
-// state per call, so its allocation and numeric behavior are unchanged.
+// ready: buffers are sized on prepare and reused across iterations.
 type solveState struct {
 	it     iterate
 	cand   iterate // line-search trials; only u, tau, s are used
@@ -75,36 +72,26 @@ const maxDenseDim = 4096
 // problem. Failures come back classified — ErrIllConditioned (KKT system
 // would not factor), ErrNonFinite (step or iterate left the reals),
 // ErrNoProgress (line search stalled), ErrNoConverge (iteration budget
-// exhausted) — so the caller can fall back to bisection and schedulers can
-// pick a degradation rung by error kind.
+// exhausted) — so the caller can fall back to water-filling and schedulers
+// can pick a degradation rung by error kind.
 //
 // All per-iteration storage — the residual/step vectors, the line-search
 // trial iterate, and either the structured arrow workspace or the (4n+2)²
 // KKT Jacobian with its LU factorization — lives in the caller-provided
-// solveState, reused across iterations, trials, and (for a persistent
-// Solver) whole solves.
+// solveState, reused across iterations and trials.
 //
 // With opt.Structured the Newton direction comes from the O(n) arrow
 // elimination (arrow.go); the dense factorization remains both the legacy
 // default and the per-iteration rescue when the arrow's block-restricted
 // pivoting breaks down on a system the dense partial pivoting can still
-// handle. warm, when non-nil, seeds the iteration from a previous solve's
-// iterate instead of the cold interior point.
-func solveIPM(sc *scaled, opt Options, st *solveState, warm *warmState) (Result, error) {
+// handle.
+func solveIPM(sc *scaled, opt Options, st *solveState) (Result, error) {
 	n := sc.n
 	mu := opt.Mu0
 
 	st.prepare(n)
 	it := &st.it
-	if warm != nil {
-		wmu, ok := warmPointInto(sc, warm, opt, it)
-		if !ok {
-			return Result{}, ErrNonFinite
-		}
-		mu = wmu
-	} else {
-		initialPointInto(sc, mu, it)
-	}
+	initialPointInto(sc, mu, it)
 	filter := &st.filter
 
 	dim := 4*n + 2
@@ -127,7 +114,6 @@ func solveIPM(sc *scaled, opt Options, st *solveState, warm *warmState) (Result,
 			out.Converged = true
 			out.Iterations = iter - 1
 			out.KKTResidual = e0
-			out.WarmStarted = warm != nil
 			return out, nil
 		}
 		// Barrier update: tighten mu once the barrier subproblem is solved.
@@ -223,7 +209,6 @@ func solveIPM(sc *scaled, opt Options, st *solveState, warm *warmState) (Result,
 		out.Converged = true
 		out.Iterations = opt.MaxIter
 		out.KKTResidual = e0
-		out.WarmStarted = warm != nil
 		return out, nil
 	}
 	return Result{}, ErrNoConverge

@@ -133,7 +133,7 @@ func TestSolveResultInvariants(t *testing.T) {
 }
 
 // TestSolveStepFunctionFallsBack: a nasty discontinuous curve defeats
-// Newton but the bisection fallback still produces a feasible split.
+// Newton but the water-filling fallback still produces a feasible split.
 func TestSolveStepFunctionFallsBack(t *testing.T) {
 	step := funcCurve{f: func(x float64) float64 {
 		if x > 50 {

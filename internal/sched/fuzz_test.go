@@ -272,12 +272,22 @@ func FuzzSolverInputs(f *testing.F) {
 		}
 		res, err := ipm.Solve(ipm.Problem{Curves: curves, Total: total}, ipm.Options{})
 		check("legacy", res, err)
-		// The structured, warm-started Solver must honor the same contract
-		// on the same garbage; the second pass exercises the warm path.
+		// The warm-started, water-filling Solver must honor the same
+		// contract on the same garbage, and its split must be feasible:
+		// every unit with work finishes by the reported makespan. The second
+		// pass exercises the warm path.
 		sv := ipm.NewSolver(ipm.Options{Structured: true, WarmStart: true})
 		for pass := 0; pass < 2; pass++ {
 			res, err := sv.Solve(ipm.Problem{Curves: curves, Total: total})
-			check("structured", res, err)
+			check("solver", res, err)
+			if err != nil {
+				continue
+			}
+			for g, x := range res.X {
+				if e := curves[g].Eval(x); x > 0 && e > res.Tau+1e-6*math.Abs(res.Tau) {
+					t.Fatalf("solver: unit %d with %g units finishes at %g after makespan %g", g, x, e, res.Tau)
+				}
+			}
 		}
 	})
 }

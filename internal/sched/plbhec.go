@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 
+	"plbhec/internal/device"
 	"plbhec/internal/ipm"
 	"plbhec/internal/profile"
 	"plbhec/internal/starpu"
@@ -71,15 +72,16 @@ type PLBHeC struct {
 	// CoverageFactor: probing continues while a unit's anticipated
 	// execution block exceeds this multiple of its largest probe.
 	CoverageFactor float64
-	// Solver configures the interior-point method. The zero value keeps
-	// the legacy stateless dense solver; Structured and/or WarmStart
-	// switch solves to a persistent ipm.Solver whose workspaces — and,
-	// warm-started, the previous rebalance's iterate — carry across
-	// solves.
+	// Solver configures the block-size solve. The zero value keeps the
+	// paper's method: the stateless package solver's dense interior-point
+	// method, with water-filling as its fallback. Structured and/or
+	// WarmStart switch solves to a persistent ipm.Solver, which water-fills
+	// with buffers kept across solves and, with WarmStart, starts each
+	// rebalance from the previous distribution.
 	Solver ipm.Options
 
 	// solver is the lazily built persistent solver used when the options
-	// opt into the structured or warm-started paths.
+	// set Structured or WarmStart.
 	solver *ipm.Solver
 
 	phase        int // modeling, executing, draining
@@ -95,6 +97,7 @@ type PLBHeC struct {
 
 	share      []float64 // normalized distribution x_g (recorded for Fig. 6)
 	blockUnits []float64 // per-PU execution block size
+	roundTotal float64   // Σ blockUnits: one execution round's worth of work
 	lastFinish []float64 // per-PU most recent task finish time
 	lastDur    []float64 // per-PU most recent full-block duration
 	blockTime  float64   // EMA of execution-phase task durations
@@ -118,6 +121,8 @@ type PLBHeC struct {
 	// fault-tolerance scenario ("a simple redistribution of the data among
 	// the remaining devices").
 	dead []bool
+	// speedSeen is device.SpeedChanges as read by the last failure scan.
+	speedSeen uint64
 	// regime tracks, per unit, the EMA ratio of measured to model-predicted
 	// block times. A sustained drift means the unit's speed changed (cloud
 	// QoS); the sample history is rescaled before the rebalance refit so
@@ -204,6 +209,8 @@ func (p *PLBHeC) Start(s *starpu.Session) {
 	p.share = make([]float64, n)
 	p.blockUnits = make([]float64, n)
 	p.dead = make([]bool, n)
+	p.roundTotal = 0
+	p.speedSeen = 0
 	p.regime = make([]float64, n)
 	for i := range p.regime {
 		p.regime[i] = 1
@@ -421,6 +428,9 @@ func (p *PLBHeC) solveDistribution(s *starpu.Session) {
 	p.stats.solverSeconds += res.WallTime.Seconds()
 	p.stats.iters += float64(res.Iterations)
 	method := "ipm"
+	if p.solver != nil {
+		method = "waterfill"
+	}
 	switch {
 	case res.UsedFallback:
 		p.stats.fallbacks++
@@ -428,7 +438,7 @@ func (p *PLBHeC) solveDistribution(s *starpu.Session) {
 		method = "fallback"
 	case res.WarmStarted:
 		p.stats.warm++
-		method = "ipm-warm"
+		method = "waterfill-warm"
 	default:
 		p.stats.cold++
 	}
@@ -445,13 +455,13 @@ func (p *PLBHeC) solveDistribution(s *starpu.Session) {
 	p.noteSolveOK(s)
 }
 
-// runSolver dispatches one block-size solve. With the legacy zero-value
-// options it calls the stateless package solver — bit-for-bit the pinned
-// golden behavior. When the options opt into the structured or warm-started
-// paths it lazily builds a persistent ipm.Solver whose workspaces and
-// previous iterate carry across solves and rebalances. The Result.X of the
-// persistent solver aliases solver storage, which is safe here: the only
-// caller copies it into p.share immediately.
+// runSolver dispatches one block-size solve. With the zero-value options it
+// calls the stateless package solver — bit-for-bit the pinned golden
+// behavior. When the options set Structured or WarmStart it lazily builds a
+// persistent, water-filling ipm.Solver whose buffers and previous shares
+// carry across solves and rebalances. The Result.X of the persistent solver
+// aliases solver storage, which is safe here: the only caller copies it
+// into p.share immediately.
 func (p *PLBHeC) runSolver(prob ipm.Problem) (ipm.Result, error) {
 	if !p.Solver.Structured && !p.Solver.WarmStart {
 		return ipm.Solve(prob, p.Solver)
@@ -474,6 +484,7 @@ func (p *PLBHeC) submitBlocks(s *starpu.Session) {
 		p.lastFinish[i] = 0
 		p.lastDur[i] = 0
 	}
+	p.sumRound()
 	for i, pu := range s.PUs() {
 		if s.Remaining() == 0 {
 			break
@@ -523,7 +534,7 @@ func (p *PLBHeC) executingFinished(s *starpu.Session, rec starpu.TaskRecord) {
 	// noisy measurement cannot force a synchronization, and suppressed in
 	// the tail (less than one round of work left), where a redistribution
 	// could not be acted on anyway.
-	tail := float64(s.Remaining()) < p.roundUnitsTotal()
+	tail := float64(s.Remaining()) < p.roundTotal
 	if !p.rebalance && p.Threshold > 0 && fullBlock && !tail {
 		over := false
 		for j, d := range p.lastDur {
@@ -624,6 +635,7 @@ func (p *PLBHeC) drainingFinished(s *starpu.Session, rec starpu.TaskRecord) {
 				p.blockUnits[i] = p.share[i] * remaining / steps
 				p.lastDur[i] = 0
 			}
+			p.sumRound()
 			if s.InFlight() == 0 {
 				p.submitBlocks(s)
 			} else if p.blockUnits[rec.PU] >= 0.5 && !p.dead[rec.PU] {
@@ -669,10 +681,17 @@ func (deadCurve) Eval(x float64) float64 { return math.Inf(1) }
 func (deadCurve) Deriv(x float64) float64 { return 0 }
 
 // scanFailures records newly failed units and reports whether any unit
-// died since the last scan. The session deduplicates the EvFailover
-// emission (NoteDeviceDown), so a death reported first by a fault injector
-// is not counted again here.
+// died since the last scan. It polls the devices only when some device's
+// speed factor changed since the last poll, so a completion without a
+// fault costs O(1) instead of O(PUs). The session deduplicates the
+// EvFailover emission (NoteDeviceDown), so a death reported first by a
+// fault injector is not counted again here.
 func (p *PLBHeC) scanFailures(s *starpu.Session) bool {
+	seen := device.SpeedChanges()
+	if seen == p.speedSeen {
+		return false
+	}
+	p.speedSeen = seen
 	changed := false
 	for i, pu := range s.PUs() {
 		if !p.dead[i] && pu.Dev.Failed() {
@@ -683,6 +702,9 @@ func (p *PLBHeC) scanFailures(s *starpu.Session) bool {
 			s.NoteDeviceDown(i)
 			changed = true
 		}
+	}
+	if changed {
+		p.sumRound()
 	}
 	if changed && p.solver != nil {
 		// Topology changed: the previous iterate describes a different
@@ -703,13 +725,12 @@ func l1Distance(a, b []float64) float64 {
 	return d
 }
 
-// roundUnitsTotal is one execution round's worth of work (Σ block sizes).
-func (p *PLBHeC) roundUnitsTotal() float64 {
-	var sum float64
+// sumRound recomputes roundTotal; call it after rewriting blockUnits.
+func (p *PLBHeC) sumRound() {
+	p.roundTotal = 0
 	for _, b := range p.blockUnits {
-		sum += b
+		p.roundTotal += b
 	}
-	return sum
 }
 
 // keepAlive prevents a stall when work remains but every active unit went

@@ -33,12 +33,12 @@ func runFig3(t *testing.T, opt ipm.Options) *starpu.Report {
 }
 
 // TestWarmStartReducesRebalanceIterations is the headline claim of the
-// warm-started solver: on the Fig. 3 rebalance path, seeding each re-solve
-// from the previous iterate converges in measurably fewer IPM iterations
-// than solving cold, and the savings are visible through the new counters
-// and Report.SolverStats.
+// warm-started solver: on the Fig. 3 rebalance path, starting each re-solve
+// from the previous distribution converges in fewer water-filling τ steps
+// than solving cold, and the savings are visible through the counters and
+// Report.SolverStats.
 func TestWarmStartReducesRebalanceIterations(t *testing.T) {
-	cold := runFig3(t, ipm.Options{})
+	cold := runFig3(t, ipm.Options{Structured: true})
 	warm := runFig3(t, ipm.Options{Structured: true, WarmStart: true})
 
 	for name, rep := range map[string]*starpu.Report{"cold": cold, "warm": warm} {
@@ -48,9 +48,12 @@ func TestWarmStartReducesRebalanceIterations(t *testing.T) {
 		if rep.SolverStats == nil {
 			t.Fatalf("%s run: Report.SolverStats not populated", name)
 		}
+		if rep.SolverStats.Fallbacks != 0 {
+			t.Errorf("%s run: water-filling reported %g fallbacks", name, rep.SolverStats.Fallbacks)
+		}
 	}
 	if cold.SolverStats.WarmStarts != 0 {
-		t.Errorf("legacy options warm-started %g solves", cold.SolverStats.WarmStarts)
+		t.Errorf("cold options warm-started %g solves", cold.SolverStats.WarmStarts)
 	}
 	if warm.SolverStats.WarmStarts < 1 {
 		t.Fatalf("warm run recorded no warm starts (stats: %+v)", warm.SolverStats)
@@ -69,10 +72,10 @@ func TestWarmStartReducesRebalanceIterations(t *testing.T) {
 	}
 	coldMean, warmMean := meanIters(cold), meanIters(warm)
 	if warmMean >= coldMean {
-		t.Errorf("warm start did not reduce mean IPM iterations: warm %.2f >= cold %.2f",
+		t.Errorf("warm start did not reduce mean τ steps: warm %.2f >= cold %.2f",
 			warmMean, coldMean)
 	}
-	t.Logf("mean IPM iterations/solve: cold %.2f, warm %.2f (warm starts %.0f/%.0f solves)",
+	t.Logf("mean τ steps/solve: cold %.2f, warm %.2f (warm starts %.0f/%.0f solves)",
 		coldMean, warmMean, warm.SolverStats.WarmStarts, warm.SolverStats.Solves)
 
 	// Both runs must finish the same work; warm starting changes solver

@@ -336,20 +336,19 @@ type Report struct {
 }
 
 // SolverStats summarizes the block-size solver's activity over one run:
-// attempt counts, how the successful solves started, the Newton work they
-// did, and the host wall time spent. Warm vs cold is the scale story: a
-// warm-started rebalance re-enters the interior-point endgame directly, so
-// MeanIterations drops and large-cluster rebalances stay cheap.
+// attempt counts, how the successful solves started, the iterations they
+// took, and the host wall time spent. Iterations are interior-point Newton
+// steps or water-filling τ steps, whichever method solved.
 type SolverStats struct {
 	Solves       float64 // attempted equation-system solves (incl. failed)
-	WarmStarts   float64 // successful solves seeded from the previous iterate
+	WarmStarts   float64 // successful solves seeded from the previous solve
 	ColdStarts   float64 // successful solves started from scratch
-	Fallbacks    float64 // solves that fell back to bisection
-	Iterations   float64 // cumulative Newton iterations across successful solves
+	Fallbacks    float64 // solves that fell back to water-filling
+	Iterations   float64 // cumulative iterations across successful solves
 	SolveSeconds float64 // cumulative host wall-clock time in the solver
 }
 
-// MeanIterations is the average Newton iteration count per successful solve.
+// MeanIterations is the average iteration count per successful solve.
 func (s SolverStats) MeanIterations() float64 {
 	if d := s.WarmStarts + s.ColdStarts; d > 0 {
 		return s.Iterations / d

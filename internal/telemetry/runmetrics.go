@@ -85,11 +85,11 @@ func NewRunMetrics(reg *Registry, puNames []string) *RunMetrics {
 	reg.Help("plbhec_fit_rmse_seconds", "RMSE of the latest execution-time fit per processing unit")
 	reg.Help("plbhec_fit_r2", "R-squared of the latest execution-time fit per processing unit")
 	reg.Help("plbhec_ipm_solves_total", "Block-size equation-system solves")
-	reg.Help("plbhec_ipm_iterations", "Newton iterations of the latest interior-point solve")
-	reg.Help("plbhec_ipm_kkt_residual", "KKT residual of the latest interior-point solve")
-	reg.Help("plbhec_ipm_fallbacks_total", "Solves that fell back to bisection")
-	reg.Help("plbhec_ipm_warm_starts_total", "Successful solves seeded from the previous solve's iterate")
-	reg.Help("plbhec_ipm_cold_starts_total", "Successful solves started from the cold interior point")
+	reg.Help("plbhec_ipm_iterations", "Iterations of the latest solve (interior-point Newton steps or water-filling τ steps)")
+	reg.Help("plbhec_ipm_kkt_residual", "KKT residual of the latest solve (water-filling: capacity residual)")
+	reg.Help("plbhec_ipm_fallbacks_total", "Solves where the interior-point method failed and water-filling took over")
+	reg.Help("plbhec_ipm_warm_starts_total", "Successful solves started from the previous solve's shares")
+	reg.Help("plbhec_ipm_cold_starts_total", "Successful solves started cold")
 	reg.Help("plbhec_solve_seconds", "Cumulative host wall-clock seconds spent in the block-size solver")
 	reg.Help("plbhec_model_coverage_ratio", "Fraction of the input consumed by the modeling phase")
 	reg.Help("plbhec_distribution_changes_total", "Recorded block-size distributions")
@@ -244,10 +244,10 @@ func (m *RunMetrics) Consume(ev Event) {
 		switch ev.Name {
 		case "fallback":
 			m.fallbacks.Inc()
-			m.coldStarts.Inc() // bisection is always a cold path
-		case "ipm-warm":
+			m.coldStarts.Inc() // the fallback is always a cold path
+		case "waterfill-warm":
 			m.warmStarts.Inc()
-		case "ipm":
+		case "ipm", "waterfill":
 			m.coldStarts.Inc()
 			// "failed" solves count toward neither: no distribution was
 			// produced.

@@ -45,8 +45,12 @@ const (
 	// execution-time fit), Aux (R²).
 	EvFit
 	// EvSolve reports one block-size solve: Time, Value (solver
-	// iterations), Aux (KKT residual), Name ("ipm", "ipm-warm" for a
-	// warm-started solve, "fallback", "failed"). End carries the solve's
+	// iterations: interior-point Newton steps, or water-filling τ steps),
+	// Aux (KKT residual, or the capacity residual |Σu − 1| of a
+	// water-filling solve), Name (the method: "ipm" for the interior-point
+	// method, "fallback" when it fell back to water-filling, "waterfill"
+	// and "waterfill-warm" for the persistent solver's cold and
+	// warm-started water-filling, "failed"). End carries the solve's
 	// host wall-clock seconds (not engine time) on successful solves —
 	// EvSolve renders as an instant, so the span field is free.
 	EvSolve
