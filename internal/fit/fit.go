@@ -3,6 +3,15 @@
 // over the basis set {ln x, x, x², x³, eˣ, x·eˣ, x·ln x} (Eq. 1), selected
 // by coefficient of determination, and the linear transfer-time function
 // G_p[x] = a₁·x + a₂ (Eq. 2).
+//
+// Selection: every candidate basis set is fitted and scored AdjR² − 0.002·p
+// (parsimony on near-ties), minus 1 when the fitted curve is not
+// non-decreasing over the usage range. The highest score wins; on an exact
+// tie, the set listed first. The monotonicity check is the costly part of
+// scoring, so Fitter.Fit runs it in descending order of the unpenalized
+// score and stops once no remaining candidate can rank above the best found.
+// The penalty only lowers a score, so this picks exactly the candidate an
+// exhaustive scan in list order would, usually after one or two checks.
 package fit
 
 import (
@@ -32,31 +41,66 @@ var ErrDegenerate = errors.New("fit: degenerate sample set")
 // they stay bounded over the sampled range. ScaleFree marks bases whose
 // Eval ignores s entirely: the incremental Fitter can keep normal-equation
 // accumulations for all-scale-free candidate sets across refits even as the
-// fitting scale moves, while scale-dependent sets must rebuild.
+// fitting scale moves, while scale-dependent sets must rebuild. feat is the
+// basis's column in the feature table (see features), which holds the same
+// value Eval returns, bit for bit.
 type Basis struct {
 	Name      string
 	Eval      func(x, s float64) float64
 	ScaleFree bool
+	feat      int
 }
+
+// Columns of the feature table, one per basis of the paper's set.
+const (
+	featOne = iota
+	featLog
+	featX
+	featX2
+	featX3
+	featExp
+	featXExp
+	featXLog
+	featInv
+	numFeatures
+)
 
 // The paper's basis set. Log bases clamp x to a tiny positive value so that
 // evaluation at x=0 stays finite (a zero-size block takes ~0 time anyway).
 var (
-	basisOne  = Basis{"1", func(x, s float64) float64 { return 1 }, true}
-	basisLog  = Basis{"ln x", func(x, s float64) float64 { return math.Log(clampPos(x)) }, true}
-	basisX    = Basis{"x", func(x, s float64) float64 { return x }, true}
-	basisX2   = Basis{"x^2", func(x, s float64) float64 { return x * x }, true}
-	basisX3   = Basis{"x^3", func(x, s float64) float64 { return x * x * x }, true}
-	basisExp  = Basis{"e^x", func(x, s float64) float64 { return math.Exp(x / s) }, false}
-	basisXExp = Basis{"x·e^x", func(x, s float64) float64 { return x * math.Exp(x/s) }, false}
-	basisXLog = Basis{"x·ln x", func(x, s float64) float64 { return x * math.Log(clampPos(x)) }, true}
+	basisOne  = Basis{"1", func(x, s float64) float64 { return 1 }, true, featOne}
+	basisLog  = Basis{"ln x", func(x, s float64) float64 { return math.Log(clampPos(x)) }, true, featLog}
+	basisX    = Basis{"x", func(x, s float64) float64 { return x }, true, featX}
+	basisX2   = Basis{"x^2", func(x, s float64) float64 { return x * x }, true, featX2}
+	basisX3   = Basis{"x^3", func(x, s float64) float64 { return x * x * x }, true, featX3}
+	basisExp  = Basis{"e^x", func(x, s float64) float64 { return math.Exp(x / s) }, false, featExp}
+	basisXExp = Basis{"x·e^x", func(x, s float64) float64 { return x * math.Exp(x/s) }, false, featXExp}
+	basisXLog = Basis{"x·ln x", func(x, s float64) float64 { return x * math.Log(clampPos(x)) }, true, featXLog}
 	// The 1/x floor is relative to the fitting scale s: an absolute 1e-9
 	// floor put a 1e9 entry in the design matrix at x=0, wrecking the
 	// normal-equations conditioning for the {1, x, 1/x} candidate set.
 	// Clamping at s·1e-3 bounds the basis value by 1000/s, the same order
 	// as the other bases over the sampled range.
-	basisInv = Basis{"1/x", func(x, s float64) float64 { return 1 / clampPosTo(x, s*1e-3) }, false}
+	basisInv = Basis{"1/x", func(x, s float64) float64 { return 1 / clampPosTo(x, s*1e-3) }, false, featInv}
 )
+
+// features writes every basis value at x under scale s into row (len
+// numFeatures), with one ln and one exp shared by the bases that use them.
+// Each entry is the exact expression of the matching Basis.Eval, so the
+// table and the closures agree bit for bit.
+func features(row []float64, x, s float64) {
+	l := math.Log(clampPos(x))
+	e := math.Exp(x / s)
+	row[featOne] = 1
+	row[featLog] = l
+	row[featX] = x
+	row[featX2] = x * x
+	row[featX3] = x * x * x
+	row[featExp] = e
+	row[featXExp] = x * e
+	row[featXLog] = x * l
+	row[featInv] = 1 / clampPosTo(x, s*1e-3)
+}
 
 func clampPos(x float64) float64 {
 	return clampPosTo(x, 1e-9)
@@ -132,21 +176,23 @@ func (m Model) MonotoneNonDecreasing(lo, hi float64) bool {
 // candidateSets are the basis combinations the selector tries, from the
 // paper's set. The paper allows combinations; these cover the shapes of
 // Fig. 1 (linear CPU curves, saturating/superlinear GPU curves) without
-// inviting overfit on 4–8 samples.
-func candidateSets() [][]Basis {
-	return [][]Basis{
-		{basisOne, basisX},
-		{basisOne, basisLog},
-		{basisOne, basisX, basisLog},
-		{basisOne, basisX, basisXLog},
-		{basisOne, basisX, basisX2},
-		{basisOne, basisX, basisX2, basisX3},
-		{basisOne, basisX, basisExp},
-		{basisOne, basisX, basisXExp},
-		{basisOne, basisX, basisInv},
-		{basisOne, basisX, basisX2, basisLog},
-	}
+// inviting overfit on 4–8 samples. Set 0 is the line {1, x}. Every Fitter
+// reads this one table; nothing writes it.
+var candidateSets = [...][]Basis{
+	{basisOne, basisX},
+	{basisOne, basisLog},
+	{basisOne, basisX, basisLog},
+	{basisOne, basisX, basisXLog},
+	{basisOne, basisX, basisX2},
+	{basisOne, basisX, basisX2, basisX3},
+	{basisOne, basisX, basisExp},
+	{basisOne, basisX, basisXExp},
+	{basisOne, basisX, basisInv},
+	{basisOne, basisX, basisX2, basisLog},
 }
+
+// maxP is the largest coefficient count among the candidates.
+const maxP = 4
 
 // FitSamples fits y(x) to the samples by least squares over each candidate
 // basis set and returns the model with the best adjusted R², preferring
@@ -181,41 +227,44 @@ func minMaxOrZero(xs []float64) (lo, hi float64) {
 	return minMax(xs)
 }
 
-// fitBasis solves the least-squares problem for one basis set.
+// fitBasis solves the least-squares problem for one basis set by QR, in a
+// fresh Scratch: the one-shot path of FitLogCurve and the rare collinear
+// fallback of Fitter.Line.
 func fitBasis(bases []Basis, xs, ys []float64, scale float64) (Model, error) {
-	n, p := len(xs), len(bases)
-	a := linalg.NewMatrix(n, p)
-	for i, x := range xs {
-		for j, b := range bases {
-			a.Set(i, j, b.Eval(x, scale))
-		}
-	}
-	coef, err := linalg.LeastSquares(a, linalg.Vector(ys))
-	if err != nil {
-		return Model{}, err
-	}
-	if !coef.IsFinite() {
-		return Model{}, ErrDegenerate
-	}
-	m := Model{Bases: bases, Coef: coef, Scale: scale}
-	m.R2, m.AdjR2 = rsquared(m, xs, ys, p)
-	return m, nil
+	var sc Scratch
+	sc.tabulate(xs, scale)
+	return sc.fitQR(bases, ys, scale, totalSS(ys), linalg.NewVector(len(bases)))
 }
 
-// rsquared computes R² and adjusted R² of model m on the samples.
-func rsquared(m Model, xs, ys []float64, p int) (r2, adj float64) {
+// rsquared computes R² and adjusted R² of model m on the samples,
+// evaluating m through its closures.
+func rsquared(m Model, xs, ys []float64) (r2, adj float64) {
+	var ssRes float64
+	for i, x := range xs {
+		d := ys[i] - m.Eval(x)
+		ssRes += d * d
+	}
+	return r2From(ssRes, totalSS(ys), len(xs), len(m.Bases))
+}
+
+// totalSS returns Σ(y − ȳ)², the total sum of squares R² compares with.
+func totalSS(ys []float64) float64 {
 	var mean float64
 	for _, y := range ys {
 		mean += y
 	}
 	mean /= float64(len(ys))
-	var ssRes, ssTot float64
-	for i, x := range xs {
-		d := ys[i] - m.Eval(x)
-		ssRes += d * d
-		t := ys[i] - mean
-		ssTot += t * t
+	var ss float64
+	for _, y := range ys {
+		t := y - mean
+		ss += t * t
 	}
+	return ss
+}
+
+// r2From turns the residual and total sums of squares of an n-sample,
+// p-coefficient fit into R² and adjusted R².
+func r2From(ssRes, ssTot float64, n, p int) (r2, adj float64) {
 	if ssTot == 0 {
 		// All y equal: a perfect fit has no residual; call it 1.
 		if ssRes < 1e-18 {
@@ -224,12 +273,12 @@ func rsquared(m Model, xs, ys []float64, p int) (r2, adj float64) {
 		return 0, 0
 	}
 	r2 = 1 - ssRes/ssTot
-	n := float64(len(xs))
-	den := n - float64(p) - 1
+	nf := float64(n)
+	den := nf - float64(p) - 1
 	if den <= 0 {
 		return r2, r2
 	}
-	adj = 1 - (1-r2)*(n-1)/den
+	adj = 1 - (1-r2)*(nf-1)/den
 	return r2, adj
 }
 

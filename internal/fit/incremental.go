@@ -3,6 +3,7 @@ package fit
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"plbhec/internal/linalg"
 )
@@ -146,6 +147,87 @@ type setAccum struct {
 	scaleFree bool    // every basis ignores the scale → survives scale moves
 }
 
+// Scratch is the working storage of Fitter.Fit and Fitter.Line: the
+// basis-feature table, the candidates' coefficients, models and scores, the
+// normal-equations solver, and the QR fallback's design matrix and
+// factorization. Nothing in it outlives a call, so fitters that never run
+// concurrently can share one Scratch; profile.Sampler shares one across the
+// fitters of all its units. The zero value is ready to use; a Scratch is not
+// safe for concurrent use.
+type Scratch struct {
+	// feat is the feature table: row k holds every basis value of sample k
+	// under the current fitting scale (see features).
+	feat   []float64
+	coef   [len(candidateSets)][maxP]float64
+	models [len(candidateSets)]Model
+	score  [len(candidateSets)]float64 // unpenalized score AdjR² − 0.002·p
+	order  [len(candidateSets)]int     // ranked candidates (see Fitter.Fit)
+	row    [maxP]float64               // one design row
+	ne     neSolver
+	design linalg.Matrix
+	qr     linalg.QR
+}
+
+// tabulate fills the feature table for the samples xs under scale.
+func (sc *Scratch) tabulate(xs []float64, scale float64) {
+	sc.feat = slices.Grow(sc.feat[:0], len(xs)*numFeatures)[:len(xs)*numFeatures]
+	for k, x := range xs {
+		features(sc.featRow(k), x, scale)
+	}
+}
+
+// featRow returns sample k's row of the feature table.
+func (sc *Scratch) featRow(k int) []float64 {
+	return sc.feat[k*numFeatures : (k+1)*numFeatures]
+}
+
+// designRow copies sample k's values of bases into the design-row scratch.
+func (sc *Scratch) designRow(k int, bases []Basis) linalg.Vector {
+	feat, row := sc.featRow(k), sc.row[:len(bases)]
+	for j, b := range bases {
+		row[j] = feat[b.feat]
+	}
+	return row
+}
+
+// model wraps a solved coefficient vector as a Model scored on the tabulated
+// samples: R² from residuals summed in sample order, Σ coef_j·basis_j in
+// basis order, exactly as Model.Eval computes each value.
+func (sc *Scratch) model(bases []Basis, coef linalg.Vector, ys []float64, scale, ssTot float64) (Model, error) {
+	if !coef.IsFinite() {
+		return Model{}, ErrDegenerate
+	}
+	var ssRes float64
+	for k, y := range ys {
+		feat := sc.featRow(k)
+		var v float64
+		for j, b := range bases {
+			v += coef[j] * feat[b.feat]
+		}
+		d := y - v
+		ssRes += d * d
+	}
+	m := Model{Bases: bases, Coef: coef, Scale: scale}
+	m.R2, m.AdjR2 = r2From(ssRes, ssTot, len(ys), len(bases))
+	return m, nil
+}
+
+// fitQR solves one basis set's least-squares problem over the tabulated
+// samples by QR of the full design matrix, in the Scratch's reused design
+// matrix and factorization, writing the solution into coef. Only the ridge
+// retry for a singular or non-finite solve allocates.
+func (sc *Scratch) fitQR(bases []Basis, ys []float64, scale, ssTot float64, coef linalg.Vector) (Model, error) {
+	p := len(bases)
+	sc.design.Reset(len(ys), p)
+	for k := range ys {
+		copy(sc.design.Data[k*p:(k+1)*p], sc.designRow(k, bases))
+	}
+	if err := sc.qr.LeastSquaresInto(coef, &sc.design, ys); err != nil {
+		return Model{}, err
+	}
+	return sc.model(bases, coef, ys, scale, ssTot)
+}
+
 // Fitter is the incremental engine behind FitSamplesOver: it keeps, per
 // candidate basis set, the accumulated normal equations of all samples seen
 // so far, so a refit after k new samples costs O(k·p²) rank-1 updates plus
@@ -161,44 +243,43 @@ type setAccum struct {
 // fitting scale moves; the seven all-scale-free sets accumulate across
 // every refit.
 //
-// The returned Model borrows fitter-owned coefficient storage: it is valid
-// until the next Fit/Line call on the same Fitter. Callers that retain
-// models across refits must clone Coef (profile.FitAll does).
+// A refit makes one pass over the samples to tabulate the basis values (see
+// features); the accumulations, the R² residuals and the QR fallback all read
+// that table. Selection then ranks the fitted candidates by unpenalized
+// score (ties: earlier set first) and runs the monotonicity check in that
+// order, stopping at the first candidate that ranks below the best
+// penalized score found, as the package comment describes.
+//
+// The returned Model borrows coefficient storage from the Fitter's Scratch:
+// it is valid until the next Fit or Line call on any Fitter sharing that
+// Scratch. Callers that retain models across refits must clone Coef
+// (profile.FitAll does).
 type Fitter struct {
 	xs, ys []float64 // the canonical sample stream folded so far
 
-	sets [][]Basis
-	accs []setAccum
-	coef []linalg.Vector // per-set persistent coefficient buffers
+	accs [len(candidateSets)]setAccum
 
 	line    setAccum  // transfer-line accumulator ({1, x}) for Line
 	lxs, ly []float64 // Line's own stream prefix
-	lcoef   linalg.Vector
 
-	ws  neSolver
-	row linalg.Vector // design-row scratch (max p across sets)
+	sc *Scratch
 }
 
 // NewFitter returns an empty incremental fitter over the paper's candidate
-// basis sets.
-func NewFitter() *Fitter {
-	f := &Fitter{sets: candidateSets()}
-	f.accs = make([]setAccum, len(f.sets))
-	f.coef = make([]linalg.Vector, len(f.sets))
-	maxP := 2
-	for i, bases := range f.sets {
+// basis sets, with a Scratch of its own.
+func NewFitter() *Fitter { return NewSharedFitter(new(Scratch)) }
+
+// NewSharedFitter returns an empty incremental fitter that works in sc,
+// which other fitters used from the same goroutine may share.
+func NewSharedFitter(sc *Scratch) *Fitter {
+	f := &Fitter{sc: sc}
+	for i, bases := range candidateSets {
 		free := true
 		for _, b := range bases {
 			free = free && b.ScaleFree
 		}
 		f.accs[i].scaleFree = free
-		f.coef[i] = linalg.NewVector(len(bases))
-		if len(bases) > maxP {
-			maxP = len(bases)
-		}
 	}
-	f.row = linalg.NewVector(maxP)
-	f.lcoef = linalg.NewVector(2)
 	return f
 }
 
@@ -215,8 +296,49 @@ func samePrefix(old, cur []float64) bool {
 	return true
 }
 
+// ranksAbove reports whether candidate i with score a ranks above candidate
+// j with score b: a higher score, or an equal one and an earlier set.
+func ranksAbove(a float64, i int, b float64, j int) bool {
+	return a > b || (a == b && i < j)
+}
+
+// rank inserts candidate i into order, which stays sorted by descending
+// (score, −index). Candidates arrive in index order, so i goes after every
+// equal score.
+func rank(order []int, i int, score []float64) []int {
+	k := len(order)
+	order = append(order, i)
+	for ; k > 0 && score[order[k-1]] < score[i]; k-- {
+		order[k] = order[k-1]
+	}
+	order[k] = i
+	return order
+}
+
+// pick returns the candidate an index-order scan would choose — the highest
+// score[i] less 1 where monotone(i) is false, the earliest on ties — or −1
+// when order is empty. It calls monotone in rank order, and stops once the
+// next candidate's unpenalized rank is below the best penalized one: the
+// penalty only lowers a score, so no later candidate can win.
+func pick(order []int, score []float64, monotone func(i int) bool) int {
+	best, bestScore := -1, 0.0
+	for _, i := range order {
+		s := score[i]
+		if best >= 0 && !ranksAbove(s, i, bestScore, best) {
+			break
+		}
+		if !monotone(i) {
+			s -= 1
+		}
+		if best < 0 || ranksAbove(s, i, bestScore, best) {
+			best, bestScore = i, s
+		}
+	}
+	return best
+}
+
 // Fit is the incremental equivalent of FitSamplesOver(xs, ys, useHi): same
-// candidate sets, same selection score, same fallback — only the per-set
+// candidate sets, same selection, same fallback — only the per-set
 // least-squares solve runs on incrementally accumulated normal equations.
 // xs must extend the previously fitted stream (append-only); any other
 // change restarts the accumulation automatically.
@@ -252,70 +374,66 @@ func (f *Fitter) Fit(xs, ys []float64, useHi float64) (Model, error) {
 		}
 	}
 
-	var best Model
-	bestScore := math.Inf(-1)
-	found := false
-	for i, bases := range f.sets {
+	sc := f.sc
+	sc.tabulate(xs, scale)
+	ssTot := totalSS(ys)
+	// Fit every candidate and rank the usable ones.
+	order := sc.order[:0]
+	for i, bases := range candidateSets {
 		if len(xs) <= len(bases) {
 			// A saturated fit (as many parameters as points) interpolates
 			// the noise exactly and extrapolates wildly; skip it.
 			continue
 		}
-		m, err := f.fitSet(i, bases, xs, ys, scale)
+		m, err := f.fitSet(i, bases, ys, scale, ssTot)
 		if err != nil {
 			continue
 		}
-		// Prefer parsimony on near-ties; penalize non-monotone candidates —
-		// identical scoring to FitSamplesOver.
-		score := m.AdjR2 - 0.002*float64(len(bases))
-		if !m.MonotoneNonDecreasing(lo, useHi) {
-			score -= 1
+		// Prefer parsimony on near-ties.
+		u := m.AdjR2 - 0.002*float64(len(bases))
+		if !(u > math.Inf(-1)) {
+			continue // NaN and −Inf scores never win
 		}
-		if score > bestScore {
-			best, bestScore, found = m, score, true
-		}
+		sc.models[i], sc.score[i] = m, u
+		order = rank(order, i, sc.score[:])
 	}
+	// Penalize non-monotone candidates.
+	best := pick(order, sc.score[:], func(i int) bool {
+		return sc.models[i].MonotoneNonDecreasing(lo, useHi)
+	})
 
 	// Record the stream before returning: the accumulators now cover it.
 	f.xs = append(f.xs, xs[len(f.xs):]...)
 	f.ys = append(f.ys, ys[len(f.ys):]...)
 
-	if !found {
+	if best < 0 {
 		// Every candidate was skipped (e.g. only 2 points): fall back to
 		// the line, which needs two points and never explodes.
-		return fitBasis([]Basis{basisOne, basisX}, xs, ys, scale)
+		return sc.fitQR(lineBases, ys, scale, ssTot, sc.coef[0][:2])
 	}
-	return best, nil
+	return sc.models[best], nil
 }
 
 // fitSet updates candidate set i's accumulator with the stream tail and
 // solves it. On a normal-equations failure (collinear bases) it falls back
-// to the cold QR path over the full design matrix, matching the one-shot
-// fit's robustness.
-func (f *Fitter) fitSet(i int, bases []Basis, xs, ys []float64, scale float64) (Model, error) {
+// to QR on the full design matrix, matching the one-shot fit's robustness.
+// The feature table must hold the current stream.
+func (f *Fitter) fitSet(i int, bases []Basis, ys []float64, scale, ssTot float64) (Model, error) {
 	acc := &f.accs[i]
 	p := len(bases)
 	if acc.ne.P() != p || (!acc.scaleFree && acc.scale != scale) {
 		acc.ne.Reset(p)
 	}
 	acc.scale = scale
-	row := f.row[:p]
-	for k := acc.ne.N(); k < len(xs); k++ {
-		for j := range bases {
-			row[j] = bases[j].Eval(xs[k], scale)
-		}
-		acc.ne.Add(row, ys[k])
+	sc := f.sc
+	for k := acc.ne.N(); k < len(ys); k++ {
+		acc.ne.Add(sc.designRow(k, bases), ys[k])
 	}
-	coef := f.coef[i]
-	if err := f.ws.solve(&acc.ne, coef); err != nil {
-		return fitBasis(bases, xs, ys, scale)
+	coef := linalg.Vector(sc.coef[i][:p])
+	if err := sc.ne.solve(&acc.ne, coef); err != nil {
+		return sc.fitQR(bases, ys, scale, ssTot, coef)
 	}
-	if !coef.IsFinite() {
-		return Model{}, ErrDegenerate
-	}
-	m := Model{Bases: bases, Coef: coef, Scale: scale}
-	m.R2, m.AdjR2 = rsquared(m, xs, ys, p)
-	return m, nil
+	return sc.model(bases, coef, ys, scale, ssTot)
 }
 
 // Line is the incremental equivalent of FitLinear(xs, ys): the transfer
@@ -339,30 +457,30 @@ func (f *Fitter) Line(xs, ys []float64) (Linear, error) {
 	if f.line.ne.P() != 2 {
 		f.line.ne.Reset(2)
 	}
-	row := f.row[:2]
+	row := linalg.Vector(f.sc.row[:2])
 	for k := f.line.ne.N(); k < len(xs); k++ {
 		row[0], row[1] = 1, xs[k]
 		f.line.ne.Add(row, ys[k])
 	}
 	f.lxs = append(f.lxs, xs[len(f.lxs):]...)
 	f.ly = append(f.ly, ys[len(f.ly):]...)
-	if err := f.ws.solve(&f.line.ne, f.lcoef); err != nil {
+	// Set 0 is {1, x}, so its coefficient slot fits the line.
+	coef := linalg.Vector(f.sc.coef[0][:2])
+	if err := f.sc.ne.solve(&f.line.ne, coef); err != nil {
 		// Collinear fallback, mirroring FitLinear's QR robustness.
-		m, err2 := fitBasis([]Basis{basisOne, basisX}, xs, ys, scale)
+		m, err2 := fitBasis(lineBases, xs, ys, scale)
 		if err2 != nil {
 			return Linear{}, err2
 		}
 		return Linear{A1: m.Coef[1], A2: m.Coef[0], R2: m.R2}, nil
 	}
-	if !f.lcoef.IsFinite() {
+	if !coef.IsFinite() {
 		return Linear{}, ErrDegenerate
 	}
-	m := Model{Bases: lineBases(), Coef: f.lcoef, Scale: scale}
-	r2, _ := rsquared(m, xs, ys, 2)
-	return Linear{A1: f.lcoef[1], A2: f.lcoef[0], R2: r2}, nil
+	m := Model{Bases: lineBases, Coef: coef, Scale: scale}
+	r2, _ := rsquared(m, xs, ys)
+	return Linear{A1: coef[1], A2: coef[0], R2: r2}, nil
 }
 
-// lineBases returns the {1, x} basis pair without allocating per call.
-var lineBasesVal = []Basis{basisOne, basisX}
-
-func lineBases() []Basis { return lineBasesVal }
+// lineBases is the {1, x} basis pair of the transfer line.
+var lineBases = candidateSets[0]

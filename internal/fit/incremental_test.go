@@ -181,3 +181,42 @@ func TestWarmGrowthConstantAlloc(t *testing.T) {
 		t.Fatalf("incremental fold added %d rows, want 1 (no rebuild)", after-before)
 	}
 }
+
+// scaleStream is a GPU-like saturating time curve sampled as on a
+// thousand-PU cluster: probing rounds from 16 to 1,024 units, then
+// execution blocks of a few hundred. Fitted with a horizon of millions of
+// units, eˣ/s is nearly collinear with {1, x} over the samples, so the
+// normal equations of such sets fail and they fall back to QR.
+func scaleStream() (xs, ys []float64) {
+	for x := 16.0; x <= 1024; x *= 2 {
+		xs = append(xs, x)
+	}
+	xs = append(xs, 350, 350, 350)
+	for _, x := range xs {
+		ys = append(ys, 2e-4*x*(150+x)/(33+x)+0.01)
+	}
+	return xs, ys
+}
+
+// TestWarmQRFallbackZeroAlloc: a warm refit whose candidate sets take the
+// QR fallback allocates nothing; the design matrix and factorization live
+// in the Fitter's Scratch.
+func TestWarmQRFallbackZeroAlloc(t *testing.T) {
+	xs, ys := scaleStream()
+	const horizon = 4 << 20
+	f := NewFitter()
+	if _, err := f.Fit(xs, ys, horizon); err != nil {
+		t.Fatal(err)
+	}
+	if f.sc.design.Rows == 0 {
+		t.Fatal("no candidate set fell back to QR; the test lost its coverage")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := f.Fit(xs, ys, horizon); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm refit with the QR fallback allocates %v times, want 0", allocs)
+	}
+}

@@ -146,15 +146,29 @@ func (f *QR) RDiag() Vector { return f.rdiag.Clone() }
 // retries with a small ridge penalty (Tikhonov regularization), which the
 // curve-fitting layer relies on for nearly collinear basis functions.
 func LeastSquares(a *Matrix, b Vector) (Vector, error) {
-	f, err := FactorQR(a)
-	if err != nil {
+	x := NewVector(a.Cols)
+	var f QR
+	if err := f.LeastSquaresInto(x, a, b); err != nil {
 		return nil, err
 	}
-	x, err := f.Solve(b)
-	if err == nil && Vector(x).IsFinite() {
-		return x, nil
+	return x, nil
+}
+
+// LeastSquaresInto is LeastSquares in f's reused storage, writing the
+// solution into x (len a.Cols). Only the ridge retry allocates.
+func (f *QR) LeastSquaresInto(x Vector, a *Matrix, b Vector) error {
+	if err := f.Factor(a); err != nil {
+		return err
 	}
-	return RidgeLeastSquares(a, b, 1e-8)
+	if err := f.SolveInto(x, b); err == nil && x.IsFinite() {
+		return nil
+	}
+	r, err := RidgeLeastSquares(a, b, 1e-8)
+	if err != nil {
+		return err
+	}
+	copy(x, r)
+	return nil
 }
 
 // RidgeLeastSquares solves min ‖A·x − b‖² + λ‖x‖² via the augmented system

@@ -25,13 +25,17 @@ type Sample struct {
 // also owns one incremental fit.Fitter per unit, so each FitAll folds only
 // the samples that arrived since the previous round into the accumulated
 // normal equations instead of refitting the whole history from scratch.
+// The fitters share one fit.Scratch (feature table, candidate models, QR
+// workspace): FitAll fits the units one after another, and per-unit
+// scratch would cost memory for every unit of a large cluster.
 type Sampler struct {
 	Exec  [][]Sample // kernel-time samples per PU (feeds F_p)
 	Trans [][]Sample // transfer-time samples per PU (feeds G_p)
 
-	// fitters are created lazily in FitAll (one per PU), so zero-value and
-	// literal-constructed Samplers keep working.
+	// fitters and scratch are created lazily in FitAll (one fitter per PU),
+	// so zero-value and literal-constructed Samplers keep working.
 	fitters []*fit.Fitter
+	scratch *fit.Scratch
 	// xsBuf/ysBuf are the split scratch reused across PUs and rounds.
 	xsBuf, ysBuf []float64
 }
@@ -134,11 +138,13 @@ type Models struct {
 	RMSE []float64
 }
 
-// Curves adapts the models to the interior-point solver's interface.
+// Curves adapts the models to the interior-point solver's interface. Each
+// curve points at its entry of ms.PU, so building the slice copies no
+// model.
 func (ms Models) Curves() []ipm.Curve {
 	cs := make([]ipm.Curve, len(ms.PU))
 	for i := range ms.PU {
-		cs[i] = ms.PU[i]
+		cs[i] = &ms.PU[i]
 	}
 	return cs
 }
@@ -164,13 +170,16 @@ func (s *Sampler) FitAll(horizon float64) (Models, error) {
 	for len(s.fitters) < n {
 		s.fitters = append(s.fitters, nil)
 	}
+	if s.scratch == nil {
+		s.scratch = new(fit.Scratch)
+	}
 	ms := Models{PU: make([]Model, n), MinR2: math.Inf(1), RMSE: make([]float64, n)}
 	for pu := 0; pu < n; pu++ {
 		if len(s.Exec[pu]) < 2 {
 			return Models{}, fmt.Errorf("%w: PU %d has %d samples", ErrNeedSamples, pu, len(s.Exec[pu]))
 		}
 		if s.fitters[pu] == nil {
-			s.fitters[pu] = fit.NewFitter()
+			s.fitters[pu] = fit.NewSharedFitter(s.scratch)
 		}
 		ft := s.fitters[pu]
 		xs, ys := s.split(s.Exec[pu])
@@ -178,9 +187,9 @@ func (s *Sampler) FitAll(horizon float64) (Models, error) {
 		if err != nil {
 			return Models{}, fmt.Errorf("profile: PU %d exec fit: %w", pu, err)
 		}
-		// The fitter owns the returned Coef until its next Fit; the models
-		// outlive the next round (schedulers keep first-round models for
-		// adaptation ratios), so take a private copy.
+		// The returned Coef lives in the shared scratch until the next
+		// fit; the models outlive it (schedulers keep first-round models
+		// for adaptation ratios), so take a private copy.
 		f.Coef = append(linalg.Vector(nil), f.Coef...)
 		ms.RMSE[pu] = rmse(f, xs, ys)
 		txs, tys := s.split(s.Trans[pu]) // reuses the xs/ys scratch

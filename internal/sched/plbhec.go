@@ -100,6 +100,7 @@ type PLBHeC struct {
 	roundTotal float64   // Σ blockUnits: one execution round's worth of work
 	lastFinish []float64 // per-PU most recent task finish time
 	lastDur    []float64 // per-PU most recent full-block duration
+	durs       durRange  // extremes of the lastDur entries threshold detection compares
 	blockTime  float64   // EMA of execution-phase task durations
 	rebalance  bool
 	rebalCause string // why the pending rebalance triggered (telemetry)
@@ -209,7 +210,7 @@ func (p *PLBHeC) Start(s *starpu.Session) {
 	p.share = make([]float64, n)
 	p.blockUnits = make([]float64, n)
 	p.dead = make([]bool, n)
-	p.roundTotal = 0
+	p.sumRound()
 	p.speedSeen = 0
 	p.regime = make([]float64, n)
 	for i := range p.regime {
@@ -515,6 +516,7 @@ func (p *PLBHeC) executingFinished(s *starpu.Session, rec starpu.TaskRecord) {
 		// Tail blocks clamped by the remaining data are intentionally
 		// smaller; only full blocks participate in imbalance detection.
 		p.lastDur[rec.PU] = dur
+		p.durs.set(rec.PU, p.thresholdEntry(rec.PU))
 		if p.blockTime == 0 {
 			p.blockTime = dur
 		} else {
@@ -536,17 +538,7 @@ func (p *PLBHeC) executingFinished(s *starpu.Session, rec starpu.TaskRecord) {
 	// could not be acted on anyway.
 	tail := float64(s.Remaining()) < p.roundTotal
 	if !p.rebalance && p.Threshold > 0 && fullBlock && !tail {
-		over := false
-		for j, d := range p.lastDur {
-			if j == rec.PU || d == 0 || p.blockUnits[j] < 0.5 {
-				continue
-			}
-			if math.Abs(dur-d) > p.Threshold*p.thrScale*p.blockTime {
-				over = true
-				break
-			}
-		}
-		if over {
+		if p.overThreshold(dur, p.Threshold*p.thrScale*p.blockTime) {
 			p.overCount++
 		} else {
 			p.overCount = 0
@@ -725,12 +717,37 @@ func l1Distance(a, b []float64) float64 {
 	return d
 }
 
-// sumRound recomputes roundTotal; call it after rewriting blockUnits.
+// sumRound recomputes roundTotal and reloads the duration range; call it
+// after rewriting blockUnits.
 func (p *PLBHeC) sumRound() {
 	p.roundTotal = 0
 	for _, b := range p.blockUnits {
 		p.roundTotal += b
 	}
+	p.durs.load(len(p.lastDur), p.thresholdEntry)
+}
+
+// thresholdEntry is unit j's entry in the duration range: its last
+// full-block duration, or NaN (absent) when threshold detection ignores the
+// unit — no full block measured since the last distribution, or no block
+// to run (x_g = 0, or dead). A NaN duration is absent too: it never
+// compares over the threshold.
+func (p *PLBHeC) thresholdEntry(j int) float64 {
+	if d := p.lastDur[j]; d != 0 && !(p.blockUnits[j] < 0.5) {
+		return d
+	}
+	return math.NaN()
+}
+
+// overThreshold reports whether a full block that took dur differs from
+// some unit's last full-block duration by more than thr (maxDifference in
+// Algorithm 2). The farthest entry from dur is the smallest or the largest,
+// because fl(dur − d) is monotone in d, so the check costs O(1). The
+// finishing unit's own entry is dur itself and differs by 0, which never
+// exceeds thr (durations, and so thr, are non-negative).
+func (p *PLBHeC) overThreshold(dur, thr float64) bool {
+	lo, hi := p.durs.bounds()
+	return lo <= hi && (math.Abs(dur-lo) > thr || math.Abs(dur-hi) > thr)
 }
 
 // keepAlive prevents a stall when work remains but every active unit went

@@ -6,7 +6,9 @@
 # BENCH_<pr>.json:
 # one machine-readable point of the repo's performance trajectory, carrying
 # ns/op, B/op, allocs/op, and the custom metrics (sim-s, speedup-x,
-# iters/solve, ...) each benchmark reports.
+# iters/solve, ...) each benchmark reports. Every benchmark runs COUNT
+# times; each metric records the median of those samples, and its first
+# and third quartiles.
 #
 # Usage: scripts/bench.sh [pr-number]
 #   pr-number  trajectory point to write (default: next after the highest
@@ -14,6 +16,7 @@
 #
 # Environment:
 #   BENCHTIME   go test -benchtime value (default 1s)
+#   COUNT       go test -count value: samples per benchmark (default 5)
 #   BENCH       benchmark regex (default '.', the whole suite)
 #   GOMAXPROCS  the -cpu value the suite runs at (default: online CPUs)
 #
@@ -34,18 +37,35 @@ if [ -z "$pr" ]; then
 fi
 
 benchtime="${BENCHTIME:-1s}"
+count="${COUNT:-5}"
 pattern="${BENCH:-.}"
 cpu="${GOMAXPROCS:-$(getconf _NPROCESSORS_ONLN)}"
 out="BENCH_${pr}.json"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-echo "running root benchmarks (-bench='$pattern' -benchtime=$benchtime -cpu=$cpu)..." >&2
-go test -run xxx -bench "$pattern" -benchmem -benchtime "$benchtime" -cpu "$cpu" . | tee "$raw" >&2
+echo "running root benchmarks (-bench='$pattern' -benchtime=$benchtime -count=$count -cpu=$cpu)..." >&2
+go test -run xxx -bench "$pattern" -benchmem -benchtime "$benchtime" -count "$count" -cpu "$cpu" . | tee "$raw" >&2
 
 # go test appends "-<cpu>" to every benchmark name unless cpu is 1; strip
 # exactly that suffix, never a trailing input size such as Fig4MM/plb-hec-4096.
-awk -v pr="$pr" -v benchtime="$benchtime" -v cpu="$cpu" -v goversion="$(go env GOVERSION)" '
+# Quantiles interpolate linearly between order statistics: q at position
+# (n-1)*q of the sorted samples (the median of an even count is the mean of
+# the middle two).
+awk -v pr="$pr" -v benchtime="$benchtime" -v count="$count" -v cpu="$cpu" -v goversion="$(go env GOVERSION)" '
+  function quantile(list, q,    v, n, i, j, t, pos, lo) {
+    n = split(list, v, " ")
+    for (i = 2; i <= n; i++) {
+      t = v[i] + 0
+      for (j = i - 1; j >= 1 && v[j] + 0 > t; j--) v[j + 1] = v[j]
+      v[j + 1] = t
+    }
+    pos = (n - 1) * q + 1
+    lo = int(pos)
+    if (lo >= n) return v[n] + 0
+    return v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
+  }
+  function num(x) { return sprintf("%.10g", x) }
   /^goos:/  { goos = $2 }
   /^goarch:/ { goarch = $2 }
   /^cpu:/   { sub(/^cpu: */, ""); cpumodel = $0 }
@@ -53,13 +73,14 @@ awk -v pr="$pr" -v benchtime="$benchtime" -v cpu="$cpu" -v goversion="$(go env G
     name = $1
     sub(/^Benchmark/, "", name)
     if (cpu != 1) sub("-" cpu "$", "", name)
-    iters = $2
-    m = ""
-    for (i = 3; i + 1 <= NF; i += 2)
-      m = m sprintf("%s\"%s\": %s", (m == "" ? "" : ", "), $(i + 1), $i)
-    row = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"metrics\": {%s}}",
-                  name, iters, m)
-    rows = rows (rows == "" ? "" : ",\n") row
+    if (!(name in seen)) { seen[name] = 1; names[++nb] = name }
+    samples[name]++
+    iters[name] = iters[name] " " $2
+    for (i = 3; i + 1 <= NF; i += 2) {
+      key = name SUBSEP $(i + 1)
+      if (!(key in vals)) units[name] = units[name] " " $(i + 1)
+      vals[key] = vals[key] " " $i
+    }
   }
   END {
     printf "{\n"
@@ -70,7 +91,22 @@ awk -v pr="$pr" -v benchtime="$benchtime" -v cpu="$cpu" -v goversion="$(go env G
     printf "  \"cpu\": \"%s\",\n", cpumodel
     printf "  \"gomaxprocs\": %s,\n", cpu
     printf "  \"benchtime\": \"%s\",\n", benchtime
-    printf "  \"benchmarks\": [\n%s\n  ]\n}\n", rows
+    printf "  \"count\": %s,\n", count
+    printf "  \"benchmarks\": ["
+    for (b = 1; b <= nb; b++) {
+      name = names[b]
+      nu = split(units[name], u, " ")
+      m = ""; q1 = ""; q3 = ""
+      for (k = 1; k <= nu; k++) {
+        key = name SUBSEP u[k]
+        sep = (k == 1 ? "" : ", ")
+        m = m sprintf("%s\"%s\": %s", sep, u[k], num(quantile(vals[key], 0.5)))
+        q1 = q1 sprintf("%s\"%s\": %s", sep, u[k], num(quantile(vals[key], 0.25)))
+        q3 = q3 sprintf("%s\"%s\": %s", sep, u[k], num(quantile(vals[key], 0.75)))
+      }
+      printf "%s\n    {\"name\": \"%s\", \"iterations\": %d, \"samples\": %d, \"metrics\": {%s}, \"q1\": {%s}, \"q3\": {%s}}", (b == 1 ? "" : ","), name, quantile(iters[name], 0.5), samples[name], m, q1, q3
+    }
+    printf "\n  ]\n}\n"
   }
 ' "$raw" >"$out"
 echo "wrote $out" >&2
